@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke for ctrtl_serve: starts a server, proves the wire results
 # are byte-identical to ctrtl_design, proves the content-hash cache works
-# (second submission of the same sources is a hit), exercises a fault-plan
+# (second submission of the same sources is a hit, and so are a whitespace
+# variant and its byte-identical resubmit), exercises a fault-plan
 # job and a watchdog-tripping job, checks backpressure stats plumbing, and
 # shuts the server down cleanly. CI runs this as the service smoke job; it
 # is also wired into ctest as tool_ctrtl_serve_smoke.
@@ -72,6 +73,21 @@ diff -u "$WORK/expected.txt" "$WORK/got2.txt" \
   || fail "warm run changed the results"
 grep -q "cache hit" "$WORK/warm.log" || fail "second job should hit the cache"
 
+# 2b. Whitespace variant: other bytes, same canonical stream — a cache hit
+#     through the full parse/hash path. Then the variant byte for byte
+#     again, which the source index serves without parsing.
+sed 's/^bus B1$/bus   B1/' "$FIG1" > "$WORK/fig1_spaced.rtd"
+cmp -s "$FIG1" "$WORK/fig1_spaced.rtd" && fail "whitespace variant is unchanged"
+"$DESIGN" "$WORK/fig1_spaced.rtd" --simulate \
+  | grep -E '^(  |final register values:)' > "$WORK/expected_spaced.txt"
+for run in spaced same; do
+  "$SERVE" submit --socket="$SOCK" --job="$run" "$WORK/fig1_spaced.rtd" \
+    > "$WORK/got_$run.txt" 2> "$WORK/$run.log"
+  diff -u "$WORK/expected_spaced.txt" "$WORK/got_$run.txt" \
+    || fail "$run resubmit changed the results"
+  grep -q "cache hit" "$WORK/$run.log" || fail "$run resubmit should hit"
+done
+
 # 3. Fault-plan job: forcing B1 at 5:ra makes step-5 rb a conflict (exit 3),
 #    and the faulted wire output must still match faulted ctrtl_design.
 "$DESIGN" "$FIG1" --simulate --fault-plan="$PLAN" \
@@ -120,11 +136,11 @@ set -e
 [ "$STATUS" -eq 2 ] || fail "bad design expected exit 2, got $STATUS"
 grep -q "E-PARSE" "$WORK/bad.log" || fail "expected E-PARSE error code"
 
-# 7. Stats plumbing: hits/misses observed above must show up. Two hits:
-#    the warm job, plus the watchdog job (same canonical stream — engine
-#    bounds are not part of the cache key).
+# 7. Stats plumbing: hits/misses observed above must show up. Four hits:
+#    the warm job, the two whitespace-variant jobs, plus the watchdog job
+#    (same canonical stream — engine bounds are not part of the cache key).
 "$SERVE" stats --socket="$SOCK" > "$WORK/stats.txt"
-grep -q "^cache-hits 2$" "$WORK/stats.txt" || fail "expected 2 cache hits"
+grep -q "^cache-hits 4$" "$WORK/stats.txt" || fail "expected 4 cache hits"
 grep -Eq "^jobs-completed [0-9]+$" "$WORK/stats.txt" || fail "stats malformed"
 
 # 8. Clean shutdown: SHUTDOWN frame stops the server; process exits 0.

@@ -68,9 +68,20 @@ BatchRunner::BatchRunner(ModelFactory factory, BatchRunOptions options)
 
 BatchRunner::BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
                          BatchRunOptions options, BatchInputProvider inputs)
+    : BatchRunner(std::move(design), nullptr, options, std::move(inputs)) {}
+
+BatchRunner::BatchRunner(std::shared_ptr<const LaneEngine> lanes,
+                         BatchRunOptions options, BatchInputProvider inputs)
+    : BatchRunner(lanes ? lanes->compiled_ptr() : nullptr, lanes, options,
+                  std::move(inputs)) {}
+
+BatchRunner::BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
+                         std::shared_ptr<const LaneEngine> lanes,
+                         BatchRunOptions options, BatchInputProvider inputs)
     : options_(options),
       design_(std::move(design)),
       inputs_(std::move(inputs)),
+      lane_engine_(std::move(lanes)),
       engine_(kernel::BatchOptions{options.workers}) {
   if (!design_) {
     throw std::invalid_argument("BatchRunner requires a compiled design");
@@ -88,8 +99,8 @@ BatchRunner::BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
     }
     return model;
   };
-  if (options_.engine == BatchEngineKind::kCompiledLanes) {
-    lane_engine_ = std::make_unique<LaneEngine>(design_);
+  if (options_.engine == BatchEngineKind::kCompiledLanes && !lane_engine_) {
+    lane_engine_ = std::make_shared<const LaneEngine>(design_);
   }
 }
 

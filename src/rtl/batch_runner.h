@@ -48,7 +48,7 @@ struct BatchRunOptions {
   /// (`RunOptions::max_delta_cycles` semantics): a non-converging instance
   /// ends with a kWatchdogTripped report instead of hanging its worker.
   std::uint64_t max_delta_cycles = kernel::Scheduler::kNoLimit;
-  /// Execution engine; `kCompiledLanes` requires the design-based
+  /// Execution engine; `kCompiledLanes` requires a design- or engine-based
   /// constructor.
   BatchEngineKind engine = BatchEngineKind::kPerInstance;
   /// Lane-engine shard size: instances simulated per SoA block. Fixed (not
@@ -165,7 +165,7 @@ struct BatchRunResult {
 ///   - `kCompiledLanes`: all instances share one immutable compiled action
 ///     table; per-instance state is laid out as contiguous SoA lanes and the
 ///     batch is sharded into fixed-size lane blocks across the pool (see
-///     `LaneEngine`). Requires the design-based constructor.
+///     `LaneEngine`). Requires a design- or engine-based constructor.
 ///
 /// Determinism guarantee: `run(n)` returns the same `BatchRunResult`
 /// (ignoring wall time) for any worker count, and per-instance equal to n
@@ -195,6 +195,14 @@ class BatchRunner {
                        BatchRunOptions options = {},
                        BatchInputProvider inputs = nullptr);
 
+  /// Like the design-based constructor, but shares an already-built lane
+  /// engine (and the design it owns) instead of lowering new lane tables.
+  /// A `LaneEngine` is immutable, so any number of runners — on any
+  /// threads — may share one; `ctrtl_serve` caches it per design.
+  explicit BatchRunner(std::shared_ptr<const LaneEngine> lanes,
+                       BatchRunOptions options = {},
+                       BatchInputProvider inputs = nullptr);
+
   ~BatchRunner();
 
   /// Simulates instances `0..count-1`.
@@ -218,11 +226,15 @@ class BatchRunner {
   [[nodiscard]] const LaneEngine* lane_engine() const { return lane_engine_.get(); }
 
  private:
+  BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
+              std::shared_ptr<const LaneEngine> lanes, BatchRunOptions options,
+              BatchInputProvider inputs);
+
   ModelFactory factory_;
   BatchRunOptions options_;
   std::shared_ptr<const transfer::CompiledDesign> design_;
   BatchInputProvider inputs_;
-  std::unique_ptr<LaneEngine> lane_engine_;
+  std::shared_ptr<const LaneEngine> lane_engine_;
   kernel::BatchEngine engine_;
 };
 

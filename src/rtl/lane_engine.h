@@ -90,6 +90,12 @@ class LaneEngine {
     return *compiled_;
   }
 
+  /// The shared design the tables were lowered from.
+  [[nodiscard]] const std::shared_ptr<const transfer::CompiledDesign>&
+  compiled_ptr() const {
+    return compiled_;
+  }
+
  private:
   /// One transfer sink signal with its statically assigned drivers. The
   /// per-lane contribution values and resolution counters live in the

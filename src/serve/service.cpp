@@ -2,12 +2,15 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "common/diagnostics.h"
 #include "fault/inject.h"
 #include "rtl/batch_runner.h"
+#include "rtl/lane_engine.h"
 #include "transfer/hash.h"
 #include "transfer/mapping.h"
 #include "transfer/text_format.h"
@@ -32,10 +35,81 @@ std::vector<std::string> bag_to_strings(const common::DiagnosticBag& diags) {
   return out;
 }
 
+/// A job's sources taken through admission up to the cache key.
+struct PreparedDesign {
+  transfer::Design design;
+  std::vector<transfer::TransInstance> instances;
+  std::uint64_t key = 0;
+};
+
+// `Sources` is a `JobRequest` or a `SnapshotRecord`: both carry the design
+// text, the fault-plan flag and the plan text under the same names.
+
+/// Parses the design, applies the fault plan (or derives the design's own
+/// instance stream) and content-hashes the post-fault canonical stream. On
+/// failure returns nullopt with the diagnostics in `diags` and the job's
+/// error code in `code`.
+template <typename Sources>
+std::optional<PreparedDesign> prepare(const Sources& sources,
+                                      common::DiagnosticBag& diags,
+                                      ErrorCode* code) {
+  PreparedDesign out;
+  out.design = transfer::parse_design(sources.design_text, diags);
+  if (diags.has_errors()) {
+    *code = ErrorCode::kParse;
+    return std::nullopt;
+  }
+  diags.clear();
+  if (sources.has_fault_plan) {
+    std::optional<fault::FaultedDesign> faulted =
+        fault::parse_and_apply(out.design, sources.fault_plan_text, diags);
+    if (!faulted.has_value()) {
+      *code = ErrorCode::kFaultPlan;
+      return std::nullopt;
+    }
+    out.design = std::move(faulted->design);
+    out.instances = std::move(faulted->instances);
+  } else {
+    out.instances = transfer::to_instances(out.design.transfers);
+  }
+  out.key = transfer::canonical_stream_hash(out.design, out.instances);
+  return out;
+}
+
+/// The source-index key: the exact bytes that determine the design. The
+/// length prefix keeps the design text and the plan apart; the plan text
+/// counts only when the flag is set, as it does in `prepare`.
+template <typename Sources>
+std::string source_key(const Sources& sources) {
+  std::string out = std::to_string(sources.design_text.size());
+  out += ':';
+  out += sources.design_text;
+  if (sources.has_fault_plan) {
+    out += '+';
+    out += sources.fault_plan_text;
+  }
+  return out;
+}
+
+/// Lowers the design and builds its lane tables. `CompiledDesign::compile`
+/// throws invalid_argument on validation failure.
+std::shared_ptr<const rtl::LaneEngine> build_engine(
+    const PreparedDesign& prepared) {
+  return std::make_shared<const rtl::LaneEngine>(
+      transfer::CompiledDesign::compile(prepared.design, prepared.instances));
+}
+
 }  // namespace
 
 SimulationService::SimulationService(ServiceOptions options)
-    : options_(std::move(options)), cache_(options_.cache_capacity) {
+    : options_(std::move(options)),
+      cache_(options_.cache_capacity, [this](std::uint64_t key) {
+        // The journal deduplicates only what the cache holds, so a design
+        // that comes back after eviction is journaled afresh at the tail.
+        if (journal_) {
+          journal_->forget(key);
+        }
+      }) {
   if (options_.workers == 0) {
     options_.workers = 1;
   }
@@ -62,50 +136,53 @@ void SimulationService::restore_snapshot() {
     return;
   }
   snapshot_skipped_ = parsed.skipped;
-  for (const SnapshotRecord& record : parsed.records) {
-    // Re-run the standard admission pipeline on the persisted sources. A
-    // record the current binary parses, faults, or hashes differently than
-    // the one that journaled it is skipped, not trusted: the snapshot can
-    // only ever warm the cache with entries this process would compute.
+  // Re-run admission on every persisted source. A record the current binary
+  // parses, faults, or hashes differently than the one that journaled it
+  // is skipped, not trusted: the snapshot can only ever warm the cache with
+  // entries this process would compute. Only the newest `cache_capacity`
+  // distinct keys would survive a full replay, so only they are lowered:
+  // the walk goes back from the tail, and the next older key takes the
+  // place of one that fails to lower.
+  struct Survivor {
+    std::size_t record;
+    std::shared_ptr<const rtl::LaneEngine> engine;
+  };
+  std::vector<Survivor> survivors;  // newest first
+  std::unordered_set<std::uint64_t> seen;
+  std::unordered_set<std::uint64_t> failed;
+  for (std::size_t i = parsed.records.size(); i-- > 0;) {
+    const SnapshotRecord& record = parsed.records[i];
     common::DiagnosticBag diags;
-    transfer::Design design =
-        transfer::parse_design(record.design_text, diags);
-    if (diags.has_errors()) {
+    ErrorCode code = ErrorCode::kInternal;
+    const std::optional<PreparedDesign> prepared =
+        prepare(record, diags, &code);
+    if (!prepared.has_value() || prepared->key != record.key) {
       ++snapshot_skipped_;
       continue;
     }
-    diags.clear();
-    std::vector<transfer::TransInstance> instances;
-    if (record.has_fault_plan) {
-      const std::optional<fault::FaultedDesign> faulted =
-          fault::parse_and_apply(design, record.fault_plan_text, diags);
-      if (!faulted.has_value()) {
-        ++snapshot_skipped_;
-        continue;
+    // The walk meets a key's newest record first, so a key that fails to
+    // lower is known to have failed before its older records come up.
+    if (survivors.size() < cache_.capacity() && seen.insert(record.key).second) {
+      try {
+        survivors.push_back(Survivor{i, build_engine(*prepared)});
+      } catch (const std::exception&) {
+        failed.insert(record.key);
       }
-      design = faulted->design;
-      instances = faulted->instances;
+    }
+    if (failed.contains(record.key)) {
+      ++snapshot_skipped_;
     } else {
-      instances = transfer::to_instances(design.transfers);
+      ++snapshot_loaded_;
     }
-    const std::uint64_t key =
-        transfer::canonical_stream_hash(design, instances);
-    if (key != record.key) {
-      ++snapshot_skipped_;
-      continue;
-    }
-    try {
-      bool hit = false;
-      (void)cache_.get_or_compile(
-          key,
-          [&] { return transfer::CompiledDesign::compile(design, instances); },
-          &hit);
-    } catch (const std::exception&) {
-      ++snapshot_skipped_;
-      continue;
-    }
-    journal_->note_existing(key);
-    ++snapshot_loaded_;
+  }
+
+  // Insert oldest first: the LRU order then equals a full replay's.
+  for (auto it = survivors.rbegin(); it != survivors.rend(); ++it) {
+    const SnapshotRecord& record = parsed.records[it->record];
+    const std::string source = source_key(record);
+    (void)cache_.get_or_compile(
+        record.key, [&] { return it->engine; }, nullptr, &source);
+    journal_->note_existing(record.key);
   }
 }
 
@@ -256,68 +333,56 @@ void SimulationService::process(Job job) {
   }
 
   try {
-    // Parse the design source.
-    common::DiagnosticBag diags;
-    transfer::Design design =
-        transfer::parse_design(request.design_text, diags);
-    if (diags.has_errors()) {
-      fail(ErrorCode::kParse, bag_to_strings(diags));
-      return;
-    }
-    diags.clear();
-
-    // Resolve the instance stream: the design's own tuples, or the
-    // fault-transformed stream when the job carries a plan.
-    std::vector<transfer::TransInstance> instances;
-    if (request.has_fault_plan) {
-      const std::optional<fault::FaultedDesign> faulted =
-          fault::parse_and_apply(design, request.fault_plan_text, diags);
-      if (!faulted.has_value()) {
-        fail(ErrorCode::kFaultPlan, bag_to_strings(diags));
-        return;
-      }
-      design = faulted->design;
-      instances = faulted->instances;
-    } else {
-      instances = transfer::to_instances(design.transfers);
-    }
-
-    // Content-hash the post-fault canonical stream: the cache key.
-    const std::uint64_t key =
-        transfer::canonical_stream_hash(design, instances);
-
-    // Cache lookup; a miss lowers under the cache lock (single-flight).
-    // CompiledDesign::compile throws invalid_argument on validation
-    // failure, which surfaces as E-VALIDATE below.
+    // A byte-identical resubmit of a cached design skips straight to its
+    // engine. Anything else takes the full admission path, where the
+    // canonical key stays the authority.
+    const std::string source = source_key(request);
+    std::uint64_t key = 0;
     bool cache_hit = false;
     std::uint64_t lower_ns = 0;
-    std::shared_ptr<const transfer::CompiledDesign> compiled;
-    try {
-      compiled = cache_.get_or_compile(
-          key,
-          [&] {
-            const std::uint64_t start = now_ns();
-            auto lowered =
-                transfer::CompiledDesign::compile(design, instances);
-            lower_ns = now_ns() - start;
-            return lowered;
-          },
-          &cache_hit);
-    } catch (const std::invalid_argument& error) {
-      fail(ErrorCode::kValidate, {error.what()});
-      return;
-    }
-
-    // Journal the sources behind every fresh entry (best-effort: a failed
-    // write degrades persistence, never the job). Only designs that
-    // survived validation reach the snapshot, so replay cannot E-VALIDATE.
-    if (!cache_hit && journal_) {
-      SnapshotRecord record;
-      record.key = key;
-      record.design_text = request.design_text;
-      record.has_fault_plan = request.has_fault_plan;
-      record.fault_plan_text = request.fault_plan_text;
-      (void)journal_->append(record);
+    std::shared_ptr<const rtl::LaneEngine> engine =
+        cache_.find_source(source, &key);
+    if (engine) {
+      cache_hit = true;
+    } else {
+      common::DiagnosticBag diags;
+      ErrorCode code = ErrorCode::kInternal;
+      const std::optional<PreparedDesign> prepared =
+          prepare(request, diags, &code);
+      if (!prepared.has_value()) {
+        fail(code, bag_to_strings(diags));
+        return;
+      }
+      key = prepared->key;
+      // Cache lookup; a miss lowers and builds the lane tables under the
+      // cache lock (single-flight), then journals the sources behind the
+      // fresh entry. Eviction runs under the same lock, so the journal's
+      // dedup set tracks the cache's keys exactly. The journal write is
+      // best-effort: a failure degrades persistence, never the job. Only
+      // designs that survived validation reach the snapshot, so replay
+      // cannot E-VALIDATE.
+      try {
+        engine = cache_.get_or_compile(
+            key,
+            [&] {
+              const std::uint64_t start = now_ns();
+              auto built = build_engine(*prepared);
+              lower_ns = now_ns() - start;
+              if (journal_ && cache_.capacity() != 0) {
+                SnapshotRecord record;
+                record.key = key;
+                record.design_text = request.design_text;
+                record.has_fault_plan = request.has_fault_plan;
+                record.fault_plan_text = request.fault_plan_text;
+                (void)journal_->append(record);
+              }
+              return built;
+            },
+            &cache_hit, &source);
+      } catch (const std::invalid_argument& error) {
+        fail(ErrorCode::kValidate, {error.what()});
+        return;
+      }
     }
 
     // Lane-sharded run, streaming each completed lane block out as REPORT
@@ -351,7 +416,7 @@ void SimulationService::process(Job job) {
       };
     }
     rtl::BatchRunner runner(
-        compiled, run_options,
+        engine, run_options,
         inputs.empty() ? rtl::BatchInputProvider{}
                        : [inputs](std::size_t) { return inputs; });
 
@@ -421,6 +486,14 @@ void SimulationService::process(Job job) {
   } catch (const std::exception& error) {
     fail(ErrorCode::kInternal, {error.what()});
   }
+}
+
+DesignCache::Stats SimulationService::cache_stats() const {
+  return cache_.stats();
+}
+
+std::size_t SimulationService::journaled_keys() const {
+  return journal_ ? journal_->journaled_keys() : 0;
 }
 
 StatsPayload SimulationService::stats() const {

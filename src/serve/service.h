@@ -42,7 +42,9 @@ struct ServiceOptions {
   /// Backoff hint attached to every BUSY reply (`retry-after-ms`); 0 sends
   /// no hint.
   std::uint64_t retry_after_ms = 50;
-  /// Lowered designs retained, LRU (`DesignCache`).
+  /// Lane engines (lowered designs with their lane tables) retained, LRU
+  /// (`DesignCache`); also bounds the source index and the journal's dedup
+  /// set.
   std::size_t cache_capacity = 8;
   /// Per-job instance-count limit (E-LIMIT above it).
   std::uint64_t max_instances = 65536;
@@ -51,8 +53,9 @@ struct ServiceOptions {
   /// Crash-safe cache persistence: when non-empty, every cache miss
   /// appends the job's sources to this append-only snapshot journal, and
   /// construction replays the journal — re-parsing, re-faulting, and
-  /// re-lowering each record — to warm the cache before the first job.
-  /// Empty disables persistence.
+  /// re-hashing each record, then lowering the newest `cache_capacity`
+  /// distinct designs — to warm the cache before the first job. Empty (or
+  /// a `cache_capacity` of 0) disables persistence.
   std::string snapshot_path;
   /// Test/observability hook: invoked on the worker thread with the job id
   /// right after dequeue, before any processing. Lets tests park a worker
@@ -137,7 +140,9 @@ using EventSink = std::function<void(const Frame& frame)>;
 
 /// The in-process core of `ctrtl_serve`: a bounded job queue, a worker
 /// pool, and a content-addressed `DesignCache`, independent of any wire.
-/// A job's lifecycle: accept -> hash -> cache hit/miss -> lower ->
+/// A job's lifecycle: accept -> source-index lookup (a byte-identical
+/// resubmit goes straight to its cached lane engine) -> otherwise parse,
+/// fault, hash -> cache hit/miss -> lower and build lane tables on a miss ->
 /// lane-sharded run (streaming REPORTs as lane blocks complete) -> DONE.
 /// Anything that fails before the run starts ends the job with a single
 /// structured ERROR frame instead; instance-level failures (watchdog,
@@ -168,6 +173,13 @@ class SimulationService {
   [[nodiscard]] SubmitOutcome submit(JobRequest request, EventSink sink);
 
   [[nodiscard]] StatsPayload stats() const;
+
+  /// In-process view of the design cache (including the source-index hits
+  /// the wire STATS does not carry).
+  [[nodiscard]] DesignCache::Stats cache_stats() const;
+
+  /// Keys the snapshot journal currently deduplicates (0 without one).
+  [[nodiscard]] std::size_t journaled_keys() const;
 
   /// Stops admission (further submits are kRejected with E-SHUTDOWN),
   /// drains already-accepted jobs, and joins the workers. Idempotent.

@@ -220,15 +220,21 @@ bool SnapshotJournal::append(const SnapshotRecord& record) {
   if (journaled_.contains(record.key)) {
     return true;
   }
-  std::ofstream out(path_, std::ios::binary | std::ios::app);
-  if (!out.is_open()) {
-    return false;
+  if (!out_.is_open()) {
+    out_.open(path_, std::ios::binary | std::ios::app);
+    if (!out_.is_open()) {
+      out_.clear();
+      return false;
+    }
   }
   const std::string encoded = encode_snapshot_record(record);
-  out.write(encoded.data(),
-            static_cast<std::streamsize>(encoded.size()));
-  out.flush();
-  if (!out.good()) {
+  out_.write(encoded.data(),
+             static_cast<std::streamsize>(encoded.size()));
+  out_.flush();
+  if (!out_.good()) {
+    // Reopen on the next append rather than write into a failed stream.
+    out_.close();
+    out_.clear();
     return false;
   }
   journaled_.insert(record.key);
@@ -238,6 +244,16 @@ bool SnapshotJournal::append(const SnapshotRecord& record) {
 void SnapshotJournal::note_existing(std::uint64_t key) {
   const std::scoped_lock lock(mutex_);
   journaled_.insert(key);
+}
+
+void SnapshotJournal::forget(std::uint64_t key) {
+  const std::scoped_lock lock(mutex_);
+  journaled_.erase(key);
+}
+
+std::size_t SnapshotJournal::journaled_keys() const {
+  const std::scoped_lock lock(mutex_);
+  return journaled_.size();
 }
 
 }  // namespace ctrtl::serve

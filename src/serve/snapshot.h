@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -64,12 +65,13 @@ bool load_snapshot_file(const std::string& path, SnapshotParseResult* out,
                         std::string* error);
 
 /// Crash-safe append-only journal of cache entries. Each `append` writes
-/// one complete encoded record and flushes before returning, so a process
-/// killed at any instant loses at most the record being written — and the
-/// per-record checksum turns that torn tail into a skip, never a bad load.
-/// Keys already journaled (or reported via `note_existing` after a reload)
-/// are deduplicated, keeping the file linear in distinct designs rather
-/// than in submissions.
+/// one complete encoded record to a stream opened on first use and kept
+/// open, and flushes before returning, so a process killed at any instant
+/// loses at most the record being written — and the per-record checksum
+/// turns that torn tail into a skip, never a bad load. Keys already
+/// journaled (or reported via `note_existing` after a reload) are
+/// deduplicated until `forget` drops them; the service forgets a key when
+/// its cache evicts it, so the dedup set never outgrows the cache.
 class SnapshotJournal {
  public:
   explicit SnapshotJournal(std::string path) : path_(std::move(path)) {}
@@ -83,11 +85,19 @@ class SnapshotJournal {
   /// `append` will not duplicate it.
   void note_existing(std::uint64_t key);
 
+  /// Drops a key from the dedup set: its next `append` writes a fresh
+  /// record at the tail of the file.
+  void forget(std::uint64_t key);
+
+  /// Keys currently deduplicated.
+  [[nodiscard]] std::size_t journaled_keys() const;
+
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   std::string path_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
+  std::ofstream out_;
   std::unordered_set<std::uint64_t> journaled_;
 };
 

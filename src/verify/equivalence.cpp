@@ -34,14 +34,12 @@ CheckReport check_consistency(const transfer::Design& design,
   }
   const rtl::RunResult simulated = model->run();
 
-  // Delta-cycle cost (plus at most one trailing delta for the final
-  // register-output update, which performs no phase work).
-  if (simulated.stats.delta_cycles != reference.expected_delta_cycles &&
-      simulated.stats.delta_cycles != reference.expected_delta_cycles + 1) {
+  // Delta-cycle cost, exactly: cs_max * 6 plus the trailing cycle the
+  // semantics predicts for a final-step latch or wb release.
+  if (simulated.stats.delta_cycles != reference.expected_delta_cycles) {
     std::ostringstream out;
     out << "delta cycles: simulated " << simulated.stats.delta_cycles
-        << ", semantics requires " << reference.expected_delta_cycles
-        << " (cs_max * 6)";
+        << ", semantics requires " << reference.expected_delta_cycles;
     report.mismatches.push_back(out.str());
   }
 

@@ -60,6 +60,11 @@ EvalResult evaluate(const transfer::Design& design,
   EvalResult result;
   result.expected_delta_cycles =
       static_cast<std::uint64_t>(design.cs_max) * rtl::kPhasesPerStep;
+  // The final step leaves work for one trailing delta cycle when a `wb`
+  // driver's release falls after the last `cr`, or (below) when a register
+  // latches at the last `cr` and its output update is still pending.
+  bool trailing_cycle =
+      design.cs_max > 0 && !walker.fires(design.cs_max, Phase::kWb).empty();
 
   // Transfer-driven sink values visible at the phase being evaluated.
   // While computing phase p, `visible` still holds the pred(p) values —
@@ -158,6 +163,7 @@ EvalResult evaluate(const transfer::Design& design,
           const auto it = visible.find(to_string(Endpoint::register_in(name)));
           if (it != visible.end() && !it->second.is_disc()) {
             value = it->second;
+            trailing_cycle = trailing_cycle || step == design.cs_max;
           }
         }
       }
@@ -167,6 +173,9 @@ EvalResult evaluate(const transfer::Design& design,
     visible.clear();
   }
 
+  if (trailing_cycle) {
+    ++result.expected_delta_cycles;
+  }
   result.registers = std::move(registers);
   return result;
 }

@@ -20,7 +20,9 @@ struct EvalResult {
   /// ILLEGAL events in (step, phase) order — same records the simulator's
   /// conflict monitor produces.
   std::vector<rtl::Conflict> conflicts;
-  /// What a delta-cycle-faithful simulation must cost: cs_max * 6.
+  /// What a delta-cycle-faithful simulation must cost: cs_max * 6, plus
+  /// one trailing delta cycle when the final step latches a register or
+  /// releases a `wb` sink.
   std::uint64_t expected_delta_cycles = 0;
 };
 

@@ -1,11 +1,16 @@
 // DesignCache: hit/miss accounting, LRU eviction order, the capacity-0
-// bypass, and the guarantee that eviction never kills an in-flight job's
-// compiled design.
+// bypass, the guarantee that eviction never kills an in-flight job's lane
+// engine, and the source index that lives and dies with its entries.
 
 #include "serve/cache.h"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "rtl/lane_engine.h"
 #include "transfer/design.h"
 
 namespace ctrtl::serve {
@@ -31,7 +36,8 @@ DesignCache::Compile compiler(const std::string& name, int* calls = nullptr) {
     if (calls != nullptr) {
       ++*calls;
     }
-    return transfer::CompiledDesign::compile(tiny_design(name));
+    return std::make_shared<const rtl::LaneEngine>(
+        transfer::CompiledDesign::compile(tiny_design(name)));
   };
 }
 
@@ -85,8 +91,8 @@ TEST(DesignCacheTest, EvictionKeepsInFlightDesignsAlive) {
   EXPECT_EQ(cache.stats().entries, 1u);
   // The evicted design is still fully usable — eviction only dropped the
   // cache's reference.
-  EXPECT_EQ(in_flight->design.name, "a");
-  EXPECT_EQ(in_flight->schedule.levels.size(), 6u);
+  EXPECT_EQ(in_flight->compiled().design.name, "a");
+  EXPECT_EQ(in_flight->compiled().schedule.levels.size(), 6u);
   EXPECT_EQ(in_flight.use_count(), 1);
 }
 
@@ -104,7 +110,7 @@ TEST(DesignCacheTest, ThrowingCompileCachesNothing) {
   DesignCache cache(4);
   EXPECT_THROW(
       (void)cache.get_or_compile(
-          1, []() -> std::shared_ptr<const transfer::CompiledDesign> {
+          1, []() -> std::shared_ptr<const rtl::LaneEngine> {
             throw std::runtime_error("lowering failed");
           }),
       std::runtime_error);
@@ -113,6 +119,57 @@ TEST(DesignCacheTest, ThrowingCompileCachesNothing) {
   bool hit = true;
   (void)cache.get_or_compile(1, compiler("a"), &hit);
   EXPECT_FALSE(hit);
+}
+
+TEST(DesignCacheTest, SourceIndexFindsTheEngineByExactBytes) {
+  DesignCache cache(4);
+  const std::string source = "design a";
+  std::uint64_t key = 0;
+  EXPECT_EQ(cache.find_source(source, &key), nullptr);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u)
+      << "a source miss counts nothing; get_or_compile counts the job";
+  const auto built = cache.get_or_compile(7, compiler("a"), nullptr, &source);
+  EXPECT_EQ(cache.find_source(source, &key), built);
+  EXPECT_EQ(key, 7u);
+  EXPECT_EQ(cache.find_source("design a ", &key), nullptr);
+  const DesignCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.source_hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(DesignCacheTest, SourceIndexKeepsOneSourcePerEntryAndDiesWithIt) {
+  DesignCache cache(1);
+  const std::string first = "design a";
+  const std::string variant = "design  a";
+  (void)cache.get_or_compile(1, compiler("a"), nullptr, &first);
+  // A canonical hit under other bytes re-points the entry's source.
+  bool hit = false;
+  (void)cache.get_or_compile(1, compiler("a"), &hit, &variant);
+  EXPECT_TRUE(hit);
+  std::uint64_t key = 0;
+  EXPECT_EQ(cache.find_source(first, &key), nullptr);
+  EXPECT_NE(cache.find_source(variant, &key), nullptr);
+  // Eviction drops the source with the entry.
+  (void)cache.get_or_compile(2, compiler("b"));
+  EXPECT_EQ(cache.find_source(variant, &key), nullptr);
+}
+
+TEST(DesignCacheTest, EvictHookSeesEveryVictim) {
+  std::vector<std::uint64_t> evicted;
+  DesignCache cache(2, [&](std::uint64_t key) { evicted.push_back(key); });
+  for (std::uint64_t key = 1; key <= 4; ++key) {
+    (void)cache.get_or_compile(key, compiler("d"));
+  }
+  EXPECT_EQ(evicted, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(DesignCacheTest, CapacityZeroIndexesNoSource) {
+  DesignCache cache(0);
+  const std::string source = "design a";
+  (void)cache.get_or_compile(1, compiler("a"), nullptr, &source);
+  std::uint64_t key = 0;
+  EXPECT_EQ(cache.find_source(source, &key), nullptr);
 }
 
 }  // namespace

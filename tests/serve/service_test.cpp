@@ -11,11 +11,15 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "rtl/batch_runner.h"
+#include "transfer/hash.h"
+#include "transfer/mapping.h"
 #include "transfer/schedule.h"
 #include "transfer/text_format.h"
 
@@ -563,6 +567,293 @@ TEST(ServiceTest, EvictionUnderPressureKeepsJobsCorrect) {
   EXPECT_EQ(stats.jobs_completed, 6u);
   EXPECT_GE(stats.cache_evictions, 1u);
   EXPECT_EQ(stats.cache_entries, 1u);
+}
+
+// --- The warm path: source index and cached lane engines ------------------
+
+/// Submits one job and blocks until its terminal frame.
+std::unique_ptr<Collector> run_job(SimulationService& service,
+                                   JobRequest request) {
+  auto collector = std::make_unique<Collector>();
+  EXPECT_EQ(service.submit(std::move(request), collector->sink()).status,
+            SubmitStatus::kAccepted);
+  collector->wait();
+  return collector;
+}
+
+DonePayload done_of(const Collector& collector) {
+  DonePayload done;
+  std::string error;
+  EXPECT_EQ(collector.last().type, MessageType::kDone);
+  EXPECT_TRUE(parse_done(collector.last().payload, &done, &error)) << error;
+  return done;
+}
+
+/// fig1 with R1's initial value replaced: one distinct design per `init`.
+JobRequest fig1_variant(const std::string& job_id, int init) {
+  JobRequest request = fig1_job(job_id);
+  request.design_text.replace(request.design_text.find("init 30"), 7,
+                              "init " + std::to_string(init));
+  return request;
+}
+
+std::string temp_snapshot(const std::string& stem) {
+  const std::string path = testing::TempDir() + stem + ".snap";
+  std::remove(path.c_str());
+  return path;
+}
+
+TEST(ServiceWarmPathTest, ByteIdenticalResubmitIsASourceHitWithIdenticalReports) {
+  SimulationService service(one_worker());
+  const auto first = run_job(service, fig1_job("same", 3));
+  const auto second = run_job(service, fig1_job("same", 3));
+  EXPECT_FALSE(done_of(*first).cache_hit);
+  const DonePayload done = done_of(*second);
+  EXPECT_TRUE(done.cache_hit);
+  EXPECT_EQ(done.lower_ns, 0u);
+  EXPECT_EQ(done.cache_key, done_of(*first).cache_key);
+
+  const DesignCache::Stats stats = service.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.source_hits, 1u) << "the resubmit must skip the parse";
+  ASSERT_EQ(first->reports().size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first->reports()[i].payload, second->reports()[i].payload);
+  }
+}
+
+TEST(ServiceWarmPathTest, WhitespaceVariantIsACanonicalHitButNotASourceHit) {
+  SimulationService service(one_worker());
+  const auto first = run_job(service, fig1_job("a"));
+  JobRequest variant = fig1_job("a");
+  variant.design_text.replace(variant.design_text.find("bus B1"), 6,
+                              "bus   B1");
+  const auto second = run_job(service, std::move(variant));
+  const DonePayload done = done_of(*second);
+  EXPECT_TRUE(done.cache_hit);
+  EXPECT_EQ(done.cache_key, done_of(*first).cache_key);
+  const DesignCache::Stats stats = service.cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.source_hits, 0u);
+  EXPECT_EQ(first->reports()[0].payload, second->reports()[0].payload);
+}
+
+TEST(ServiceWarmPathTest, FaultPlanIsPartOfTheSource) {
+  SimulationService service(one_worker());
+  JobRequest faulted = fig1_job("f");
+  faulted.has_fault_plan = true;
+  faulted.fault_plan_text = "force-bus B1 = 99 @5:ra\n";
+  const auto plain = run_job(service, fig1_job("f"));
+  const auto with_plan = run_job(service, faulted);
+  EXPECT_FALSE(done_of(*with_plan).cache_hit);
+  EXPECT_NE(done_of(*plain).cache_key, done_of(*with_plan).cache_key);
+  const auto plain_again = run_job(service, fig1_job("f"));
+  const auto with_plan_again = run_job(service, faulted);
+  EXPECT_EQ(done_of(*plain_again).cache_key, done_of(*plain).cache_key);
+  EXPECT_EQ(done_of(*with_plan_again).cache_key,
+            done_of(*with_plan).cache_key);
+  EXPECT_EQ(with_plan->reports()[0].payload,
+            with_plan_again->reports()[0].payload);
+  // Plan text without the flag is ignored, as the full path ignores it.
+  JobRequest unflagged = faulted;
+  unflagged.has_fault_plan = false;
+  EXPECT_EQ(done_of(*run_job(service, unflagged)).cache_key,
+            done_of(*plain).cache_key);
+  const DesignCache::Stats stats = service.cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.source_hits, 3u);
+}
+
+TEST(ServiceWarmPathTest, EvictedSourceTakesTheFullPathAgain) {
+  ServiceOptions options = one_worker();
+  options.cache_capacity = 1;
+  SimulationService service(options);
+  const auto a = run_job(service, fig1_variant("j", 30));
+  (void)run_job(service, fig1_variant("j", 29));
+  const DesignCache::Stats before = service.cache_stats();
+  const auto a_again = run_job(service, fig1_variant("j", 30));
+  const DesignCache::Stats after = service.cache_stats();
+  EXPECT_FALSE(done_of(*a_again).cache_hit);
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 0u);
+  EXPECT_EQ(a->reports()[0].payload, a_again->reports()[0].payload);
+}
+
+TEST(ServiceWarmPathTest, GarbageIsEParseEveryTimeAndNeverIndexed) {
+  SimulationService service(one_worker());
+  JobRequest garbage;
+  garbage.job_id = "bad";
+  garbage.design_text = "this is not a design\n";
+  for (int i = 0; i < 2; ++i) {
+    const auto collector = run_job(service, garbage);
+    ASSERT_EQ(collector->last().type, MessageType::kError);
+    ErrorPayload error;
+    std::string message;
+    ASSERT_TRUE(parse_error(collector->last().payload, &error, &message));
+    EXPECT_EQ(error.code, ErrorCode::kParse);
+  }
+  const DesignCache::Stats stats = service.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+}
+
+TEST(ServiceWarmPathTest, ConcurrentSubmitsOfOneSourceMissOnce) {
+  ServiceOptions options;
+  options.workers = 4;
+  SimulationService service(options);
+  std::vector<std::unique_ptr<Collector>> collectors(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < collectors.size(); ++i) {
+    threads.emplace_back([&, i] {
+      collectors[i] = run_job(service, fig1_job("race", 2));
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const DesignCache::Stats stats = service.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 3u);
+  for (const auto& collector : collectors) {
+    EXPECT_EQ(collector->reports()[0].payload,
+              collectors[0]->reports()[0].payload);
+  }
+}
+
+TEST(ServiceWarmPathTest, BootLowersOnlyTheNewestCapacityKeys) {
+  const std::string path = temp_snapshot("boot_survivors");
+  constexpr int kDesigns = 6;
+  {
+    // A record whose key no longer matches its sources, ahead of the rest:
+    // boot must still hash it to find that out.
+    SnapshotJournal journal(path);
+    SnapshotRecord stale;
+    stale.key = 0x0123456789abcdefull;
+    stale.design_text = fig1_variant("x", 1).design_text;
+    ASSERT_TRUE(journal.append(stale));
+  }
+  {
+    ServiceOptions options = one_worker();
+    options.cache_capacity = 16;
+    options.snapshot_path = path;
+    SimulationService writer(options);
+    for (int i = 0; i < kDesigns; ++i) {
+      (void)run_job(writer, fig1_variant("w", 100 + i));
+    }
+  }
+  ServiceOptions options = one_worker();
+  options.cache_capacity = 3;
+  options.snapshot_path = path;
+  SimulationService service(options);
+  const StatsPayload stats = service.stats();
+  EXPECT_EQ(stats.snapshot_records_loaded, static_cast<std::uint64_t>(kDesigns));
+  EXPECT_EQ(stats.snapshot_records_skipped, 1u);
+  EXPECT_EQ(stats.cache_entries, 3u);
+  EXPECT_EQ(stats.cache_misses, 3u) << "boot lowers only the survivors";
+  EXPECT_EQ(stats.cache_evictions, 0u);
+  EXPECT_EQ(service.journaled_keys(), 3u);
+
+  // The newest three hit by source (touched oldest first, which keeps
+  // their order); the older ones were never lowered.
+  for (int i = kDesigns - 3; i < kDesigns; ++i) {
+    EXPECT_TRUE(done_of(*run_job(service, fig1_variant("w", 100 + i))).cache_hit)
+        << "design " << i;
+  }
+  EXPECT_EQ(service.cache_stats().source_hits, 3u);
+  // A full replay's LRU order: the oldest survivor is the next victim.
+  (void)run_job(service, fig1_variant("n", 7));
+  EXPECT_FALSE(
+      done_of(*run_job(service, fig1_variant("w", 100 + kDesigns - 3))).cache_hit);
+  EXPECT_FALSE(done_of(*run_job(service, fig1_variant("w", 100))).cache_hit);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceWarmPathTest, ReMissAppendsAgainAndBootFollowsTheTail) {
+  // Capacity 1: A, B, A journals A twice (the eviction of A forgot it), so
+  // the journal reads A B A and a capacity-2 boot keeps A as most recent.
+  const std::string path = temp_snapshot("boot_tail");
+  {
+    ServiceOptions options = one_worker();
+    options.cache_capacity = 1;
+    options.snapshot_path = path;
+    SimulationService writer(options);
+    for (const int init : {30, 29, 30}) {
+      (void)run_job(writer, fig1_variant("w", init));
+    }
+  }
+  SnapshotParseResult parsed;
+  std::string error;
+  ASSERT_TRUE(load_snapshot_file(path, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.records.size(), 3u);
+  EXPECT_EQ(parsed.records[0], parsed.records[2]);
+
+  ServiceOptions options = one_worker();
+  options.cache_capacity = 2;
+  options.snapshot_path = path;
+  SimulationService service(options);
+  EXPECT_EQ(service.stats().snapshot_records_loaded, 3u);
+  EXPECT_EQ(service.stats().cache_entries, 2u);
+  (void)run_job(service, fig1_variant("n", 1));  // evicts B, the LRU entry
+  EXPECT_TRUE(done_of(*run_job(service, fig1_variant("w", 30))).cache_hit);
+  EXPECT_FALSE(done_of(*run_job(service, fig1_variant("w", 29))).cache_hit);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceWarmPathTest, BootReplacesAKeyThatFailsToLowerWithTheNextOlder) {
+  // The newest record parses and key-checks but names an undeclared bus,
+  // so it cannot lower: it counts as skipped and the older design takes
+  // the single cache slot.
+  const std::string path = temp_snapshot("boot_lower_failure");
+  const auto key_of = [](const std::string& text) {
+    common::DiagnosticBag diags;
+    const transfer::Design design = transfer::parse_design(text, diags);
+    EXPECT_FALSE(diags.has_errors()) << diags.to_text();
+    return transfer::canonical_stream_hash(
+        design, transfer::to_instances(design.transfers));
+  };
+  std::string unlowerable = kFig1;
+  unlowerable.replace(unlowerable.find("transfer R1 B1"), 14, "transfer R1 B9");
+  {
+    SnapshotJournal journal(path);
+    for (const std::string& text : {std::string(kFig1), unlowerable}) {
+      SnapshotRecord record;
+      record.key = key_of(text);
+      record.design_text = text;
+      ASSERT_TRUE(journal.append(record));
+    }
+  }
+  ServiceOptions options = one_worker();
+  options.cache_capacity = 1;
+  options.snapshot_path = path;
+  SimulationService service(options);
+  EXPECT_EQ(service.stats().snapshot_records_loaded, 1u);
+  EXPECT_EQ(service.stats().snapshot_records_skipped, 1u);
+  EXPECT_EQ(service.stats().cache_entries, 1u);
+  EXPECT_TRUE(done_of(*run_job(service, fig1_job("good"))).cache_hit);
+  EXPECT_EQ(service.cache_stats().source_hits, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceWarmPathTest, JournalDedupSetStaysWithinTheCache) {
+  const std::string path = temp_snapshot("journal_bound");
+  constexpr std::size_t kCapacity = 3;
+  ServiceOptions options = one_worker();
+  options.cache_capacity = kCapacity;
+  options.snapshot_path = path;
+  {
+    SimulationService service(options);
+    for (std::size_t i = 0; i < 10 * kCapacity; ++i) {
+      (void)run_job(service, fig1_variant("d", 200 + static_cast<int>(i)));
+      EXPECT_LE(service.journaled_keys(), kCapacity);
+    }
+    EXPECT_EQ(service.journaled_keys(), kCapacity);
+  }
+  SnapshotParseResult parsed;
+  std::string error;
+  ASSERT_TRUE(load_snapshot_file(path, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.records.size(), 10 * kCapacity);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
+#include "transfer/build.h"
 #include "transfer/conflict.h"
 #include "verify/random_design.h"
 
@@ -27,6 +31,22 @@ Design fig1_design() {
 TEST(Consistency, Fig1SemanticsMatchesSimulation) {
   const CheckReport report = check_consistency(fig1_design());
   EXPECT_TRUE(report.consistent()) << report.to_text();
+}
+
+TEST(Consistency, DeltaCyclesMatchExactlyWithAndWithoutAFinalStepWrite) {
+  // Stock fig1 writes R1 in step 6 and leaves step 7 idle: 7 * 6 deltas.
+  // At cs_max 6 the write lands in the final step, whose latch and wb
+  // release cost one trailing delta: 6 * 6 + 1.
+  for (const auto& [cs_max, deltas] :
+       {std::pair<unsigned, std::uint64_t>{7, 42}, {6, 37}}) {
+    Design d = fig1_design();
+    d.cs_max = cs_max;
+    EXPECT_EQ(evaluate(d).expected_delta_cycles, deltas) << "cs_max " << cs_max;
+    EXPECT_EQ(transfer::build_model(d)->run().stats.delta_cycles, deltas)
+        << "cs_max " << cs_max;
+    const CheckReport report = check_consistency(d);
+    EXPECT_TRUE(report.consistent()) << report.to_text();
+  }
 }
 
 TEST(Consistency, ConflictingDesignStillConsistent) {

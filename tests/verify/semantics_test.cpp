@@ -33,6 +33,16 @@ TEST(Semantics, Fig1FinalRegisters) {
   EXPECT_EQ(result.expected_delta_cycles, 42u);
 }
 
+TEST(Semantics, Fig1WithItsWriteInTheFinalStepCostsOneTrailingDelta) {
+  // examples/rtd/fig1.rtd at cs_max 6: R1 latches at the last cr and its
+  // wb driver releases after it, so the engines run 6 * 6 + 1 deltas.
+  Design d = fig1_design();
+  d.cs_max = 6;
+  const EvalResult result = evaluate(d);
+  EXPECT_EQ(result.registers.at("R1"), rtl::RtValue::of(42));
+  EXPECT_EQ(result.expected_delta_cycles, 37u);
+}
+
 TEST(Semantics, UninitializedOperandPoisonsModule) {
   Design d = fig1_design();
   d.registers[0].initial.reset();  // R1 never loaded
